@@ -22,7 +22,6 @@ from .graphs import (
     is_isomorphic,
     line_graph,
     named_subgraph,
-    open_neighborhood,
 )
 from .complexes import (
     DEFAULT_MAX_FACES,

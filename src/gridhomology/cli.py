@@ -45,7 +45,7 @@ from .homology import (
     MatrixSizeError,
     reduced_homology,
 )
-from .spheres import WedgeDescriptor, descriptor_betti, predict
+from .spheres import WedgeDescriptor, descriptor_betti, predict, suspend, wedge
 
 __all__ = [
     "VerificationReport",
@@ -119,21 +119,35 @@ def build_family(family: str, m: int, n: int) -> Graph:
     )
 
 
-def _independence_betti(g: Graph, max_faces: int, max_matrix: Optional[int]) -> dict:
-    comp = independence_complex(g, max_faces)
-    return reduced_homology(comp, max_matrix=max_matrix).betti
+def _homology(
+    g: Graph,
+    stats: dict,
+    max_faces: int,
+    max_matrix: Optional[int],
+    matching: bool = False,
+    reduce: bool = False,
+    max_dim: Optional[int] = None,
+) -> HomologyResult:
+    """The one graph -> (fold) -> complex -> homology path of every command.
 
-
-def _shift(betti: dict, k: int) -> dict:
-    return {d + k: v for d, v in betti.items()}
-
-
-def _merge(*bettis: dict) -> dict:
-    out: dict = {}
-    for b in bettis:
-        for d, v in b.items():
-            out[d] = out.get(d, 0) + v
-    return {d: v for d, v in sorted(out.items()) if v}
+    Fills ``stats`` (vertex counts before and after folding, faces
+    enumerated) as it goes, so a caller that catches a cap error still
+    reports how far the computation got.
+    """
+    builder = matching_complex if matching else independence_complex
+    if reduce and matching:
+        # fold on the line graph: matchings of g are independent sets there
+        g, builder = line_graph(g), independence_complex
+    stats.update(vertices_before=g.n_vertices, vertices_after=g.n_vertices, faces_enumerated=0)
+    if reduce:
+        trace = fold_reduce(g)
+        stats["vertices_after"] = trace.final_vertex_count
+        if trace.is_contractible:
+            return HomologyResult({}, {})
+        g = trace.final
+    comp = builder(g, max_faces)
+    stats["faces_enumerated"] = comp.total_faces
+    return reduced_homology(comp, max_dim=max_dim, max_matrix=max_matrix)
 
 
 def verify_instance(
@@ -146,36 +160,14 @@ def verify_instance(
     """Build the delta graph, compute its homology, compare with prediction."""
     t0 = time.perf_counter()
     predicted = predict(m, n)
-    g = delta_graph(m, n)
-    stats = {
-        "vertices_before": g.n_vertices,
-        "vertices_after": g.n_vertices,
-        "faces_enumerated": 0,
-    }
-    computed: Optional[HomologyResult] = None
-    status, skip_reason = "ok", None
+    stats: dict = {}
+    computed = torsion_free = match = skip_reason = None
     try:
-        target = g
-        if reduce:
-            trace = fold_reduce(g)
-            stats["vertices_after"] = trace.final_vertex_count
-            if trace.is_contractible:
-                computed = HomologyResult({}, {})
-                target = None
-            else:
-                target = trace.final
-        if target is not None:
-            comp = independence_complex(target, max_faces)
-            stats["faces_enumerated"] = comp.total_faces
-            computed = reduced_homology(comp, max_matrix=max_matrix)
-    except (ComplexSizeError, MatrixSizeError) as exc:
-        status, skip_reason = "skipped", str(exc)
-
-    if computed is None:
-        torsion_free = match = None
-    else:
+        computed = _homology(delta_graph(m, n), stats, max_faces, max_matrix, reduce=reduce)
         torsion_free = computed.torsion_free
         match = descriptor_betti(predicted) == computed.betti and torsion_free
+    except (ComplexSizeError, MatrixSizeError) as exc:
+        skip_reason = str(exc)
     return VerificationReport(
         m=m,
         n=n,
@@ -183,7 +175,7 @@ def verify_instance(
         computed=computed,
         torsion_free=torsion_free,
         match=match,
-        status=status,
+        status="ok" if skip_reason is None else "skipped",
         reduction_stats=stats,
         wall_time=round(time.perf_counter() - t0, 6),
         skip_reason=skip_reason,
@@ -205,8 +197,8 @@ def run_step_checks(
     if m < 2 or n < 5:
         raise ValueError(f"step checks need m >= 2 and n >= 5, got ({m},{n})")
 
-    def betti(g: Graph) -> dict:
-        return _independence_betti(g, max_faces, max_matrix)
+    def betti(g: Graph) -> WedgeDescriptor:  # the wedge with g's reduced Betti numbers
+        return WedgeDescriptor.from_betti(_homology(g, {}, max_faces, max_matrix).betti)
 
     delta = delta_graph(m, n)
     gx = named_subgraph(NamedSubgraphKind.X, m, n)
@@ -225,6 +217,10 @@ def run_step_checks(
     steps: list[dict] = []
 
     def record(name: str, passed: bool, detail: dict):
+        detail = {
+            k: descriptor_betti(v) if isinstance(v, WedgeDescriptor) else v
+            for k, v in detail.items()
+        }
         steps.append({"name": name, "passed": bool(passed), "detail": detail})
 
     record("delta_equals_x", b_delta == b_x, {"delta": b_delta, "x": b_x})
@@ -245,17 +241,17 @@ def run_step_checks(
         b_xlink = betti(split_x.link)
         record(
             "x_split_betti_additivity",
-            b_x == _merge(b_y, _shift(b_xlink, 1)),
+            b_x == wedge([b_y, suspend(b_xlink, 1)]),
             {"x": b_x, "y": b_y, "link": b_xlink},
         )
         record(
             "x_link_suspension",
-            b_xlink == _shift(b_d3, 1),
+            b_xlink == suspend(b_d3, 1),
             {"link": b_xlink, "delta_n3": b_d3},
         )
     record(
         "x_wedge",
-        b_x == _merge(b_y, _shift(b_d3, 2)),
+        b_x == wedge([b_y, suspend(b_d3, 2)]),
         {"x": b_x, "y": b_y, "delta_n3": b_d3},
     )
 
@@ -272,7 +268,7 @@ def run_step_checks(
         b_ydel = betti(split_y.deleted)
         record(
             "y_split_betti_additivity",
-            b_y == _merge(b_ydel, _shift(b_ylink, 1)),
+            b_y == wedge([b_ydel, suspend(b_ylink, 1)]),
             {"y": b_y, "deleted": b_ydel, "link": b_ylink},
         )
         b_z = betti(gz)
@@ -283,22 +279,22 @@ def run_step_checks(
             b_z == b_zp == b_zpp == b_ylink,
             {"z": b_z, "zprime": b_zp, "zdoubleprime": b_zpp, "y_link": b_ylink},
         )
-        record("z_suspension", b_z == _shift(b_d4, m), {"z": b_z, "delta_n4": b_d4})
+        record("z_suspension", b_z == suspend(b_d4, m), {"z": b_z, "delta_n4": b_d4})
         b_w = betti(gw)
         record(
             "w_deleted",
-            b_w == b_ydel and b_w == _shift(b_d3, m),
+            b_w == b_ydel and b_w == suspend(b_d3, m),
             {"w": b_w, "y_deleted": b_ydel, "delta_n3": b_d3},
         )
     record(
         "y_wedge",
-        b_y == _merge(_shift(b_d3, m), _shift(b_d4, m + 1)),
+        b_y == wedge([suspend(b_d3, m), suspend(b_d4, m + 1)]),
         {"y": b_y, "delta_n3": b_d3, "delta_n4": b_d4},
     )
     record(
         "recursion_total",
-        b_delta == descriptor_betti(predict(m, n)),
-        {"delta": b_delta, "predicted": descriptor_betti(predict(m, n))},
+        b_delta == predict(m, n),
+        {"delta": b_delta, "predicted": predict(m, n)},
     )
 
     return {
@@ -337,36 +333,15 @@ def cmd_build(args) -> int:
 
 def cmd_homology(args) -> int:
     if args.input == "-":
-        text = sys.stdin.read()
+        g = Graph.from_json(sys.stdin.read())
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    g = Graph.from_json(text)
-    builder = independence_complex if args.complex == "independence" else matching_complex
-    stats = {
-        "vertices_before": g.n_vertices,
-        "vertices_after": g.n_vertices,
-        "faces_enumerated": 0,
-    }
-    result: Optional[HomologyResult] = None
-    target = g
-    if args.reduce:
-        if args.complex == "matching":
-            # fold on the line graph: matchings of g are independent sets there
-            target = line_graph(g)
-            stats["vertices_before"] = target.n_vertices
-            builder = independence_complex
-        trace = fold_reduce(target)
-        stats["vertices_after"] = trace.final_vertex_count
-        if trace.is_contractible:
-            result = HomologyResult({}, {})
-            target = None
-        else:
-            target = trace.final
-    if target is not None:
-        comp = builder(target, args.max_faces)
-        stats["faces_enumerated"] = comp.total_faces
-        result = reduced_homology(comp, max_dim=args.max_dim, max_matrix=args.max_matrix)
+            g = Graph.from_json(fh.read())
+    stats: dict = {}
+    matching = args.complex == "matching"
+    result = _homology(
+        g, stats, args.max_faces, args.max_matrix, matching, args.reduce, args.max_dim
+    )
     _emit(args, _json_dumps(result.to_json_obj()))
     print(
         f"homology of {args.complex} complex: betti {result.betti or {}}, "
@@ -401,10 +376,7 @@ def cmd_verify(args) -> int:
 
 
 def _suite_worker(task) -> dict:
-    m, n, reduce_flag, max_faces, max_matrix = task
-    return verify_instance(
-        m, n, reduce=reduce_flag, max_faces=max_faces, max_matrix=max_matrix
-    ).to_json_obj()
+    return verify_instance(*task).to_json_obj()  # task: (m, n, reduce, max_faces, max_matrix)
 
 
 def cmd_suite(args) -> int:
@@ -517,9 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gridhomology",
         description="Build grid-family graphs, compute exact integral homology of their "
         "independence/matching complexes, and verify wedge-of-spheres predictions.",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON (the default)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,6 +6,11 @@ simpler, cache-friendly choice. The empty face lives at dimension -1 and is
 present exactly when the complex is nonvoid, so the empty complex {()} --
 which arises from deleting closed neighborhoods of dominating vertices --
 is representable and distinct from the void complex.
+
+Both complexes come from one face enumerator over compatibility masks: the
+independence complex of a graph, and the matching complex as the
+independence complex of its edge-conflict graph, M(G) = I(L(G)), with the
+conflicts read off edge endpoints instead of a built line graph.
 """
 
 from __future__ import annotations
@@ -169,28 +174,26 @@ class SimplicialComplex:
 
 
 def _enumerate_upward(
-    n_items: int,
-    compatible_mask,
-    max_faces: int,
-    what: str,
+    compatible: list[int], max_faces: int, what: str
 ) -> dict[int, list[tuple[int, ...]]]:
-    """Shared lexicographic DFS over index subsets.
+    """The one face enumerator: lexicographic DFS over index subsets.
 
-    ``compatible_mask(i)`` gives the bitmask of items that may follow item i
-    in a face. Aborts once more than ``max_faces`` faces are produced.
+    ``compatible[i]`` is the bitmask of items that may share a face with
+    item i; a face grows only by items above its last one that are
+    compatible with every item in it. Aborts once more than ``max_faces``
+    faces are produced.
     """
     faces: dict[int, list[tuple[int, ...]]] = {-1: [()]}
     count = 1
 
     def grow(prefix: tuple[int, ...], allowed: int):
         nonlocal count
-        d = len(prefix)  # dimension of the faces produced here
-        bucket = faces.setdefault(d, [])
+        bucket = faces.setdefault(len(prefix), [])  # faces of dimension len(prefix)
         a = allowed
         while a:
             low = a & -a
             i = low.bit_length() - 1
-            a ^= low
+            a ^= low  # a now holds the allowed items above i
             face = prefix + (i,)
             count += 1
             if count > max_faces:
@@ -198,56 +201,36 @@ def _enumerate_upward(
                     f"{what} exceeds the face cap ({max_faces}); raise the cap to proceed"
                 )
             bucket.append(face)
-            above = allowed & ~((1 << (i + 1)) - 1)
-            grow(face, above & compatible_mask(i))
+            grow(face, a & compatible[i])
 
-    grow((), (1 << n_items) - 1)
+    grow((), (1 << len(compatible)) - 1)
     return {d: fs for d, fs in faces.items() if fs}
 
 
 def independence_complex(g: Graph, max_faces: int = DEFAULT_MAX_FACES) -> SimplicialComplex:
     """Complex whose faces are the independent vertex sets of g."""
-    masks = g.adjacency_masks()
-    faces = _enumerate_upward(
-        g.n_vertices, lambda i: ~masks[i], max_faces, "independence complex"
-    )
+    compatible = [~mask for mask in g.adjacency_masks()]
+    faces = _enumerate_upward(compatible, max_faces, "independence complex")
     return SimplicialComplex(g.vertices, faces)
 
 
 def matching_complex(g: Graph, max_faces: int = DEFAULT_MAX_FACES) -> SimplicialComplex:
     """Complex whose faces are the matchings of g.
 
-    Enumerated directly over edge subsets with endpoint-disjointness
-    tracking -- deliberately not via the line graph, so the identity with
-    the line graph's independence complex stays a two-route check.
+    Runs the same enumerator as ``independence_complex``: two edges are
+    compatible when they share no endpoint, read off the masks of the edges
+    at each endpoint. The conflict masks are built here rather than taken
+    from ``line_graph``, so the identity M(G) = I(L(G)) stays a check
+    between two independent routes.
     """
-    labelled = sorted((edge_label(u, v), u, v) for u, v in g.edges())
-    endpoint_masks = [
-        (1 << g.index_of(u)) | (1 << g.index_of(v)) for _, u, v in labelled
-    ]
-    labels = [lab for lab, _, _ in labelled]
-
-    faces: dict[int, list[tuple[int, ...]]] = {-1: [()]}
-    count = 1
-    cap = max_faces
-
-    def grow(prefix: tuple[int, ...], used: int, start: int):
-        nonlocal count
-        bucket = faces.setdefault(len(prefix), [])
-        for j in range(start, len(labels)):
-            if endpoint_masks[j] & used:
-                continue
-            face = prefix + (j,)
-            count += 1
-            if count > cap:
-                raise ComplexSizeError(
-                    f"matching complex exceeds the face cap ({cap}); raise the cap to proceed"
-                )
-            bucket.append(face)
-            grow(face, used | endpoint_masks[j], j + 1)
-
-    grow((), 0, 0)
-    return SimplicialComplex(labels, {d: fs for d, fs in faces.items() if fs})
+    labelled = sorted((edge_label(u, v), g.index_of(u), g.index_of(v)) for u, v in g.edges())
+    at_vertex = [0] * g.n_vertices  # bitmask of the edges at each vertex
+    for j, (_, u, v) in enumerate(labelled):
+        at_vertex[u] |= 1 << j
+        at_vertex[v] |= 1 << j
+    compatible = [~(at_vertex[u] | at_vertex[v]) for _, u, v in labelled]
+    faces = _enumerate_upward(compatible, max_faces, "matching complex")
+    return SimplicialComplex([lab for lab, _, _ in labelled], faces)
 
 
 def equals_complex(

@@ -21,7 +21,6 @@ __all__ = [
     "line_graph",
     "delta_graph",
     "delete_vertices",
-    "open_neighborhood",
     "closed_neighborhood",
     "named_subgraph",
     "edge_label",
@@ -250,11 +249,6 @@ def delete_vertices(g: Graph, s: Iterable[VertexLabel]) -> Graph:
     if not drop:
         return g
     return g.induced(v for v in g.vertices if v not in drop)
-
-
-def open_neighborhood(g: Graph, v: VertexLabel) -> frozenset:
-    """Vertices adjacent to v."""
-    return g.neighbors(v)
 
 
 def closed_neighborhood(g: Graph, v: VertexLabel) -> frozenset:

@@ -56,6 +56,8 @@ class WedgeDescriptor:
     def __str__(self):
         if not self.spheres:
             return "point"
+        if sum(k for _, k in self.spheres) > 10_000:  # too many to write one by one
+            return " ∨ ".join(f"(S^{d})^∨{k}" if k > 1 else f"S^{d}" for d, k in self.spheres)
         parts = []
         for d, k in self.spheres:
             parts.extend([f"S^{d}"] * k)
@@ -96,7 +98,8 @@ def predict(m: int, n: int) -> WedgeDescriptor:
 
     m = 1 alternates between a single sphere (n even) and a point (n odd);
     for m >= 2 the base cases n <= 4 are point, S^0, S^1 v S^(m-1), S^m, and
-    larger n unfolds the suspension-wedge recursion on n-3 and n-4.
+    larger n unfolds the suspension-wedge recursion on n-3 and n-4, bottom
+    up, so a large n needs no deep call stack.
     """
     if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
         raise ValueError(f"m and n must be positive integers, got m={m!r}, n={n!r}")
@@ -104,17 +107,17 @@ def predict(m: int, n: int) -> WedgeDescriptor:
         if n % 2:
             return WedgeDescriptor.point()
         return WedgeDescriptor.sphere(n // 2 - 1)
-    if n == 1:
-        return WedgeDescriptor.point()
-    if n == 2:
-        return WedgeDescriptor.sphere(0)
-    if n == 3:
-        return wedge([WedgeDescriptor.sphere(1), WedgeDescriptor.sphere(m - 1)])
-    if n == 4:
-        return WedgeDescriptor.sphere(m)
-    a = predict(m, n - 3)
-    b = predict(m, n - 4)
-    return wedge([suspend(a, 2), suspend(a, m), suspend(b, m + 1)])
+    # window[i] = predict(m, k - 3 + i); start at k = 4, slide up to k = n
+    window = (
+        WedgeDescriptor.point(),
+        WedgeDescriptor.sphere(0),
+        wedge([WedgeDescriptor.sphere(1), WedgeDescriptor.sphere(m - 1)]),
+        WedgeDescriptor.sphere(m),
+    )
+    for _ in range(n - 4):
+        a, b = window[1], window[0]  # n - 3 and n - 4 for the next n
+        window = (*window[1:], wedge([suspend(a, 2), suspend(a, m), suspend(b, m + 1)]))
+    return window[min(n, 4) - 1]
 
 
 def descriptor_betti(d: WedgeDescriptor) -> dict:

@@ -115,6 +115,14 @@ def test_predict_outputs(capsys):
     assert err.strip() == " ∨ ".join(["S^3"] * 5)
 
 
+def test_predict_large_n_exits_zero(capsys):
+    # bottom-up recursion needs no deep stack; the text form stays compact
+    code, out, err = run(capsys, "predict", "--m", "2", "--n", "4000")
+    assert code == EXIT_OK
+    assert sum(json.loads(out)["spheres"].values()) > 10**500
+    assert "^∨" in err and len(err) < 10**6
+
+
 def test_verify_examples(capsys):
     code, out, _ = run(capsys, "verify", "--m", "2", "--n", "5")
     assert code == EXIT_OK
@@ -148,6 +156,15 @@ def test_verify_skip_on_cap(capsys):
     rep = json.loads(out)
     assert rep["status"] == "skipped" and rep["match"] is None
     assert "skipped" in err
+
+
+def test_verify_skip_on_matrix_cap_reports_faces_reached(capsys):
+    code, out, _ = run(capsys, "verify", "--m", "2", "--n", "6", "--max-matrix", "10")
+    assert code == EXIT_RESOURCE
+    rep = json.loads(out)
+    assert rep["status"] == "skipped" and "over the cap" in rep["skip_reason"]
+    faces = verify_instance(2, 6).reduction_stats["faces_enumerated"]
+    assert rep["reduction_stats"]["faces_enumerated"] == faces > 0
 
 
 def test_verify_mismatch_exit_1(capsys, monkeypatch):

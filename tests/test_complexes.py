@@ -78,9 +78,29 @@ def test_matching_of_triangle_is_three_points():
     assert c.dimension == 0
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_matching_complex_matches_brute_matchings(n):
-    g = grid_graph(n, 2)
+def complete(k):
+    vs = [Raw(f"k{i}") for i in range(k)]
+    return Graph(vs, list(combinations(vs, 2)))
+
+
+def complete_bipartite(a, b):
+    left = [Raw(f"l{i}") for i in range(a)]
+    right = [Raw(f"r{j}") for j in range(b)]
+    return Graph(left + right, [(u, v) for u in left for v in right])
+
+
+_rng = random.Random(17)
+MATCHING_CORPUS = {str(n): grid_graph(n, 2) for n in range(2, 7)}
+MATCHING_CORPUS.update(K5=complete(5), K33=complete_bipartite(3, 3))
+MATCHING_CORPUS.update(
+    (f"random{i}", random_graph(_rng, _rng.randint(3, 7), p))
+    for i, p in enumerate((0.3, 0.5) * 4)
+)
+
+
+@pytest.mark.parametrize("name", list(MATCHING_CORPUS))
+def test_matching_complex_matches_brute_matchings(name):
+    g = MATCHING_CORPUS[name]
     assert matching_complex(g).face_set() == set(brute_matchings(g))
 
 

@@ -22,7 +22,6 @@ from gridhomology import (
     is_isomorphic,
     line_graph,
     named_subgraph,
-    open_neighborhood,
     parse_label,
 )
 
@@ -215,24 +214,24 @@ def test_delete_is_functorial():
 
 def test_neighborhoods():
     iso = Graph([Raw("a")])
-    assert open_neighborhood(iso, Raw("a")) == frozenset()
+    assert iso.neighbors(Raw("a")) == frozenset()
     assert closed_neighborhood(iso, Raw("a")) == {Raw("a")}
 
     g = delta_graph(3, 3)
-    assert open_neighborhood(g, E(1)) == {F(1, 1), F(2, 1), F(3, 1)}
+    assert g.neighbors(E(1)) == {F(1, 1), F(2, 1), F(3, 1)}
 
     p = path("a", "b", "c")
-    assert open_neighborhood(p, Raw("b")) == {Raw("a"), Raw("c")}
+    assert p.neighbors(Raw("b")) == {Raw("a"), Raw("c")}
 
     with pytest.raises(ValueError):
-        open_neighborhood(p, Raw("zz"))
+        p.neighbors(Raw("zz"))
 
 
 def test_closed_neighborhood_property():
     g = delta_graph(2, 5)
     for v in g.vertices:
-        assert closed_neighborhood(g, v) == open_neighborhood(g, v) | {v}
-        assert v not in open_neighborhood(g, v)
+        assert closed_neighborhood(g, v) == g.neighbors(v) | {v}
+        assert v not in g.neighbors(v)
 
 
 # -- named subgraphs -----------------------------------------------------------

@@ -126,3 +126,9 @@ def test_descriptor_text_and_json_forms():
     assert S(2, 2).to_json_obj() == {"spheres": {"2": 2}}
     for d in [POINT, S(2, 2), predict(3, 7), S(-1)]:
         assert WedgeDescriptor.from_json_obj(d.to_json_obj()) == d
+
+
+def test_descriptor_text_of_a_huge_wedge_is_compact():
+    assert str(wedge([S(2, 10_000), S(3)])) == "(S^2)^∨10000 ∨ S^3"
+    assert str(wedge([S(2, 10_001)])) == "(S^2)^∨10001"
+    assert str(S(2, 10_000)) == " ∨ ".join(["S^2"] * 10_000)
