@@ -132,7 +132,8 @@ def _homology(
 
     Fills ``stats`` (vertex counts before and after folding, faces
     enumerated) as it goes, so a caller that catches a cap error still
-    reports how far the computation got.
+    reports how far the computation got. With ``max_dim`` set, only the
+    (max_dim+1)-skeleton is enumerated, and ``faces_enumerated`` counts it.
     """
     builder = matching_complex if matching else independence_complex
     if reduce and matching:
@@ -145,7 +146,7 @@ def _homology(
         if trace.is_contractible:
             return HomologyResult({}, {})
         g = trace.final
-    comp = builder(g, max_faces)
+    comp = builder(g, max_faces, max_dim)
     stats["faces_enumerated"] = comp.total_faces
     return reduced_homology(comp, max_dim=max_dim, max_matrix=max_matrix)
 
@@ -505,7 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--complex", choices=("independence", "matching"), default="independence"
     )
     p.add_argument("--reduce", action="store_true", help="fold-reduce the graph first")
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument(
+        "--max-dim",
+        type=int,
+        default=None,
+        help="highest dimension to compute; only the (max_dim+1)-skeleton is enumerated",
+    )
     _add_caps(p)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_homology)

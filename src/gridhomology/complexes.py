@@ -174,21 +174,24 @@ class SimplicialComplex:
 
 
 def _enumerate_upward(
-    compatible: list[int], max_faces: int, what: str
+    compatible: list[int], max_faces: int, what: str, max_dim: Optional[int] = None
 ) -> dict[int, list[tuple[int, ...]]]:
     """The one face enumerator: lexicographic DFS over index subsets.
 
     ``compatible[i]`` is the bitmask of items that may share a face with
     item i; a face grows only by items above its last one that are
-    compatible with every item in it. Aborts once more than ``max_faces``
+    compatible with every item in it. With ``max_dim`` set, faces stop
+    growing at dimension max_dim + 1. Aborts once more than ``max_faces``
     faces are produced.
     """
     faces: dict[int, list[tuple[int, ...]]] = {-1: [()]}
     count = 1
+    top = len(compatible) if max_dim is None else max_dim + 1  # largest dimension kept
 
     def grow(prefix: tuple[int, ...], allowed: int):
         nonlocal count
         bucket = faces.setdefault(len(prefix), [])  # faces of dimension len(prefix)
+        deeper = len(prefix) < top  # may these faces grow further?
         a = allowed
         while a:
             low = a & -a
@@ -201,27 +204,39 @@ def _enumerate_upward(
                     f"{what} exceeds the face cap ({max_faces}); raise the cap to proceed"
                 )
             bucket.append(face)
-            grow(face, a & compatible[i])
+            if deeper:
+                grow(face, a & compatible[i])
 
-    grow((), (1 << len(compatible)) - 1)
+    if top >= 0:
+        grow((), (1 << len(compatible)) - 1)
     return {d: fs for d, fs in faces.items() if fs}
 
 
-def independence_complex(g: Graph, max_faces: int = DEFAULT_MAX_FACES) -> SimplicialComplex:
-    """Complex whose faces are the independent vertex sets of g."""
+def independence_complex(
+    g: Graph, max_faces: int = DEFAULT_MAX_FACES, max_dim: Optional[int] = None
+) -> SimplicialComplex:
+    """Complex whose faces are the independent vertex sets of g.
+
+    With ``max_dim`` set, the result is the (max_dim+1)-skeleton: the faces
+    of dimension at most max_dim + 1, which is all that homology up to
+    dimension max_dim needs. The face cap counts the skeleton's faces.
+    """
     compatible = [~mask for mask in g.adjacency_masks()]
-    faces = _enumerate_upward(compatible, max_faces, "independence complex")
+    faces = _enumerate_upward(compatible, max_faces, "independence complex", max_dim)
     return SimplicialComplex(g.vertices, faces)
 
 
-def matching_complex(g: Graph, max_faces: int = DEFAULT_MAX_FACES) -> SimplicialComplex:
+def matching_complex(
+    g: Graph, max_faces: int = DEFAULT_MAX_FACES, max_dim: Optional[int] = None
+) -> SimplicialComplex:
     """Complex whose faces are the matchings of g.
 
     Runs the same enumerator as ``independence_complex``: two edges are
     compatible when they share no endpoint, read off the masks of the edges
     at each endpoint. The conflict masks are built here rather than taken
     from ``line_graph``, so the identity M(G) = I(L(G)) stays a check
-    between two independent routes.
+    between two independent routes. ``max_dim`` gives the (max_dim+1)-skeleton,
+    as for ``independence_complex``.
     """
     labelled = sorted((edge_label(u, v), g.index_of(u), g.index_of(v)) for u, v in g.edges())
     at_vertex = [0] * g.n_vertices  # bitmask of the edges at each vertex
@@ -229,7 +244,7 @@ def matching_complex(g: Graph, max_faces: int = DEFAULT_MAX_FACES) -> Simplicial
         at_vertex[u] |= 1 << j
         at_vertex[v] |= 1 << j
     compatible = [~(at_vertex[u] | at_vertex[v]) for _, u, v in labelled]
-    faces = _enumerate_upward(compatible, max_faces, "matching complex")
+    faces = _enumerate_upward(compatible, max_faces, "matching complex", max_dim)
     return SimplicialComplex([lab for lab, _, _ in labelled], faces)
 
 

@@ -6,6 +6,32 @@ corrupt ranks and torsion. The reduction runs in two phases: a sparse pass
 that eliminates unit pivots in Markowitz (least fill) order -- which
 consumes essentially all of a simplicial boundary matrix -- and a dense
 classical pass on whatever small residual is left.
+
+``reduced_homology`` sweeps the boundary maps from the top dimension down
+and *clears* as it goes (the "twist" of Chen & Kerber, carried over to Smith
+form): every d-face that the sparse pass on the boundary map from (d+1)-faces
+to d-faces used as a unit (+-1) pivot row is left out as a column of the
+boundary map from d-faces to (d-1)-faces. Residual pivots never clear. This
+is exact over Z:
+
+* The sparse pass only subtracts multiples of a pivot row from rows still
+  present, then drops that row and its pivot column. So, with the pivots
+  (r_1, c_1), ..., (r_k, c_k) in elimination order, L * A[R, C] = U where
+  L is unit lower triangular and U is upper triangular with +-1 on the
+  diagonal: the block A[R, C] of pivot rows by pivot columns is unimodular.
+* Hence the chains dtau for the pivot (d+1)-faces tau, together with the
+  d-faces that are not pivot rows, form a Z-basis of the d-chains (their
+  coordinate matrix is block triangular with A[R, C] and an identity on the
+  diagonal).
+* The lower boundary map vanishes on every dtau. In that basis it is zero
+  on the first block and equal to its columns at the unpivoted d-faces on
+  the second, and a unimodular change of basis keeps the invariant factors.
+  So the cleared matrix has the same rank and the same nonzero invariant
+  factors as the full one.
+
+The matrix cap is checked for every dimension from the face counts before
+any matrix is assembled or reduced, on the uncleared shapes, so an over-cap
+complex fails fast and the cap means what it did before clearing.
 """
 
 from __future__ import annotations
@@ -58,9 +84,15 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
+    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
+
+    ``unit_pivot_rows`` holds the rows the sparse pass eliminated with a +-1
+    pivot; ``reduced_homology`` clears them from the next boundary map down.
+    It is bookkeeping, not part of the result, so equality ignores it.
+    """
 
     invariant_factors: tuple[int, ...]
+    unit_pivot_rows: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
         fs = self.invariant_factors
@@ -109,21 +141,26 @@ class HomologyResult:
     __hash__ = None
 
 
-def boundary_matrix(c: SimplicialComplex, d: int) -> SparseIntMatrix:
+def boundary_matrix(
+    c: SimplicialComplex, d: int, cleared: frozenset = frozenset()
+) -> SparseIntMatrix:
     """Boundary operator from d-faces to (d-1)-faces with alternating signs.
 
     The chain complex is augmented: for d = 0 the target is the single empty
-    face, so the matrix is an all-ones row.
+    face, so the matrix is an all-ones row. The d-faces whose indices are in
+    ``cleared`` get no column; the remaining columns are numbered in face
+    order, and row i is always the i-th (d-1)-face.
     """
     if d < 0:
         raise ValueError(f"boundary dimension must be >= 0, got {d}")
     if c.is_void:
         return SparseIntMatrix(0, 0, {})
-    if d == 0:
-        nverts = c.face_count(0)
-        return SparseIntMatrix(1, nverts, {(0, j): 1 for j in range(nverts)})
-    lo = c.index_faces(d - 1)
     hi = c.index_faces(d)
+    if cleared:
+        hi = [f for j, f in enumerate(hi) if j not in cleared]
+    if d == 0:
+        return SparseIntMatrix(1, len(hi), {(0, j): 1 for j in range(len(hi))})
+    lo = c.index_faces(d - 1)
     lo_index = {f: i for i, f in enumerate(lo)}
     entries = {}
     for j, face in enumerate(hi):
@@ -139,7 +176,7 @@ def boundary_matrix(c: SimplicialComplex, d: int) -> SparseIntMatrix:
 
 
 def smith_normal_form(m: SparseIntMatrix) -> SnfResult:
-    """Invariant factors over the integers, exactly."""
+    """Invariant factors over the integers, exactly, and the unit-pivot rows."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in m.entries.items():
@@ -154,7 +191,7 @@ def smith_normal_form(m: SparseIntMatrix) -> SnfResult:
             if v == 1 or v == -1:
                 heapq.heappush(heap, ((len(rw) - 1) * (len(cols[c]) - 1), r, c))
 
-    unit_pivots = 0
+    pivot_rows: list[int] = []
     while heap:
         cost, r, c = heapq.heappop(heap)
         rw = rows.get(r)
@@ -200,7 +237,7 @@ def smith_normal_form(m: SparseIntMatrix) -> SnfResult:
             if not row2:
                 del rows[r2]
         cols.pop(c, None)
-        unit_pivots += 1
+        pivot_rows.append(r)
 
     residual: list[int] = []
     if rows:
@@ -209,8 +246,8 @@ def smith_normal_form(m: SparseIntMatrix) -> SnfResult:
         dense = [[rows[r].get(c, 0) for c in cindex] for r in rindex]
         residual = _dense_diagonalize(dense)
 
-    factors = [1] * unit_pivots + _divisibility_chain(residual)
-    return SnfResult(tuple(factors))
+    factors = [1] * len(pivot_rows) + _divisibility_chain(residual)
+    return SnfResult(tuple(factors), frozenset(pivot_rows))
 
 
 def _dense_diagonalize(a: list[list[int]]) -> list[int]:
@@ -304,20 +341,31 @@ def reduced_homology(
     dimension d collects the invariant factors of boundary_{d+1} exceeding 1.
     Computed over the augmented complex: a contractible complex reports all
     zeros and the empty complex reports betti {-1: 1}.
+
+    First every boundary_d for d in 0..hi+1 (hi = top dimension, or max_dim)
+    is checked against ``max_matrix`` from the face counts, at its uncleared
+    shape; the lowest over-cap dimension raises MatrixSizeError before any
+    matrix is built. Then d runs from hi+1 down to 0, and each boundary_d
+    is assembled without the columns of the d-faces that were unit-pivot
+    rows of boundary_{d+1} (see the module docstring for why this is exact).
     """
     if c.is_void:
         return HomologyResult({}, {})
     top = c.dimension
     hi = top if max_dim is None else min(max_dim, top)
+    if max_matrix is not None:
+        for d in range(0, hi + 2):
+            rows, cols = c.face_count(d - 1), c.face_count(d)  # d = 0: the empty face
+            if rows > max_matrix or cols > max_matrix:
+                raise MatrixSizeError(
+                    f"boundary matrix at dimension {d} is {rows}x{cols}, "
+                    f"over the cap of {max_matrix}"
+                )
     snf: dict[int, SnfResult] = {}
-    for d in range(0, hi + 2):
-        bm = boundary_matrix(c, d)
-        if max_matrix is not None and (bm.rows > max_matrix or bm.cols > max_matrix):
-            raise MatrixSizeError(
-                f"boundary matrix at dimension {d} is {bm.rows}x{bm.cols}, "
-                f"over the cap of {max_matrix}"
-            )
-        snf[d] = smith_normal_form(bm)
+    cleared: frozenset = frozenset()
+    for d in range(hi + 1, -1, -1):
+        snf[d] = smith_normal_form(boundary_matrix(c, d, cleared))
+        cleared = snf[d].unit_pivot_rows
     betti: dict[int, int] = {}
     torsion: dict[int, list[int]] = {}
     for d in range(-1, hi + 1):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import gridhomology.cli as cli
+import gridhomology.homology as homology
 from gridhomology import WedgeDescriptor
 from gridhomology.cli import (
     EXIT_MISMATCH,
@@ -165,6 +166,31 @@ def test_verify_skip_on_matrix_cap_reports_faces_reached(capsys):
     assert rep["status"] == "skipped" and "over the cap" in rep["skip_reason"]
     faces = verify_instance(2, 6).reduction_stats["faces_enumerated"]
     assert rep["reduction_stats"]["faces_enumerated"] == faces > 0
+
+
+@pytest.mark.parametrize("m, n, shape", [(2, 10, "17266x23431"), (3, 8, "19835x29238")])
+def test_verify_checks_matrix_cap_before_any_matrix_work(capsys, monkeypatch, m, n, shape):
+    def unreachable(*args):
+        raise AssertionError("matrix work on an over-cap instance")
+
+    monkeypatch.setattr(homology, "boundary_matrix", unreachable)
+    monkeypatch.setattr(homology, "smith_normal_form", unreachable)
+    code, out, _ = run(capsys, "verify", "--m", str(m), "--n", str(n))
+    assert code == EXIT_RESOURCE
+    rep = json.loads(out)
+    assert rep["status"] == "skipped"
+    assert rep["skip_reason"] == (
+        f"boundary matrix at dimension 5 is {shape}, over the cap of 20000"
+    )
+
+
+def test_homology_max_dim_enumerates_the_skeleton_only(tmp_path, capsys):
+    src = tmp_path / "grid46.json"
+    run(capsys, "build", "--family", "grid", "--m", "4", "--n", "6", "-o", str(src))
+    code, out, err = run(capsys, "homology", str(src), "--complex", "matching", "--max-dim", "1")
+    assert code == EXIT_OK
+    assert out == "{}\n"  # the full complex (1,453,535 faces) gives the same
+    assert "'faces_enumerated': 6220" in err
 
 
 def test_verify_mismatch_exit_1(capsys, monkeypatch):

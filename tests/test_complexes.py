@@ -18,6 +18,7 @@ from gridhomology import (
     independence_complex,
     line_graph,
     matching_complex,
+    reduced_homology,
 )
 
 from oracles import brute_independent_faces, brute_matchings, random_graph
@@ -211,3 +212,25 @@ def test_constructor_validates_shape():
         SimplicialComplex([a, b], {-1: [()], 0: [(1,), (0,)]})  # dim list not sorted
     with pytest.raises(ValueError):
         SimplicialComplex([a, b], {-1: [()], 0: [(0,), (0,)]})  # duplicate face
+
+
+@pytest.mark.parametrize("builder", [independence_complex, matching_complex])
+def test_max_dim_gives_the_skeleton(builder):
+    rng = random.Random(606)
+    graphs = [delta_graph(2, 5), grid_graph(3, 3), cycle(7), Graph([])]
+    graphs += [random_graph(rng, 9, 0.3) for _ in range(6)]
+    for g in graphs:
+        full = builder(g)
+        faces = full.face_set()
+        for k in range(-1, full.dimension + 2):  # the k-skeleton, for homology up to k - 1
+            skel = builder(g, max_dim=k - 1)
+            assert skel.labels == full.labels
+            assert skel.face_set() == {f for f in faces if len(f) - 1 <= k}
+            assert reduced_homology(skel, max_dim=k - 1) == reduced_homology(full, max_dim=k - 1)
+
+
+def test_face_cap_counts_the_skeleton():
+    g = grid_graph(3, 4)  # 823 matchings, 120 of them with at most two edges
+    with pytest.raises(ComplexSizeError):
+        matching_complex(g, max_faces=120)
+    assert matching_complex(g, max_faces=120, max_dim=0).total_faces == 120

@@ -1,9 +1,11 @@
 """Boundary matrices, Smith normal form, reduced homology, Euler counts."""
 
 import random
+from itertools import combinations
 
 import pytest
 
+from gridhomology import homology
 from gridhomology import (
     Graph,
     HomologyResult,
@@ -255,3 +257,92 @@ def test_euler_equals_alternating_betti_sum():
         res = reduced_homology(cx)
         alt = sum((1 if d % 2 == 0 else -1) * b for d, b in res.betti.items())
         assert reduced_euler_characteristic(cx) == alt
+
+
+# -- clearing ----------------------------------------------------------------------
+
+
+def complete_graph(n):
+    vs = [Raw(f"k{i}") for i in range(n)]
+    return Graph(vs, list(combinations(vs, 2)))
+
+
+def complete_bipartite(a, b):
+    left = [Raw(f"a{i}") for i in range(a)]
+    right = [Raw(f"b{i}") for i in range(b)]
+    return Graph(left + right, [(u, v) for u in left for v in right])
+
+
+@pytest.fixture
+def check_cleared(monkeypatch):
+    """Check every cleared Smith form of reduced_homology against the plain one.
+
+    The returned function runs ``reduced_homology`` with recording wrappers
+    in ``homology``'s globals, requires the top-down order, a cleared matrix
+    that lacks exactly the unit-pivot rows of the map above it, and, in every
+    dimension, the invariant factors of plain ``smith_normal_form`` on the
+    full boundary matrix. It returns the number of columns cleared.
+    """
+    dims, reduced = [], {}
+    plain_bm, plain_snf = homology.boundary_matrix, homology.smith_normal_form
+
+    def recording_bm(c, d, *rest):
+        dims.append(d)
+        return plain_bm(c, d, *rest)
+
+    def recording_snf(m):
+        reduced[dims[-1]] = (m, plain_snf(m))
+        return reduced[dims[-1]][1]
+
+    monkeypatch.setattr(homology, "boundary_matrix", recording_bm)
+    monkeypatch.setattr(homology, "smith_normal_form", recording_snf)
+
+    def check(c, max_dim=None):
+        dims.clear()
+        reduced.clear()
+        reduced_homology(c, max_dim=max_dim, max_matrix=None)
+        hi = c.dimension if max_dim is None else min(max_dim, c.dimension)
+        assert dims == list(range(hi + 1, -1, -1))
+        cleared = 0
+        for d, (m, snf) in reduced.items():
+            above = reduced[d + 1][1].unit_pivot_rows if d <= hi else frozenset()
+            assert m.cols == c.face_count(d) - len(above)
+            cleared += len(above)
+            full = plain_snf(plain_bm(c, d))
+            assert snf.invariant_factors == full.invariant_factors, f"dimension {d}"
+        return cleared
+
+    return check
+
+
+def test_cleared_snf_exact_on_torsion_and_dense_residual_inputs(check_cleared, rp2):
+    complexes = [
+        rp2,
+        matching_complex(complete_graph(7)),
+        matching_complex(complete_graph(9)),
+        matching_complex(complete_bipartite(5, 5)),
+    ]
+    for c in complexes:
+        assert check_cleared(c) > 0
+
+
+def test_cleared_snf_exact_on_delta_family(check_cleared):
+    for m, top in ((2, 7), (3, 6), (4, 5)):
+        complexes = [independence_complex(delta_graph(m, n)) for n in range(1, top + 1)]
+        cleared = [check_cleared(c) for c in complexes]
+        assert cleared[-1] > 0
+
+
+def test_cleared_snf_exact_on_random_graphs(check_cleared):
+    rng = random.Random(31337)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(3, 10), rng.choice((0.2, 0.35, 0.5)))
+        max_dim = rng.choice((None, 0, 1, 2))
+        check_cleared(independence_complex(g, max_dim=max_dim), max_dim)
+        check_cleared(matching_complex(g, max_dim=max_dim), max_dim)
+
+
+def test_snf_reports_unit_pivot_rows_outside_equality():
+    r = smith_normal_form(mat([[1, 0, 0], [0, 2, 0], [0, 0, 0]]))
+    assert r.invariant_factors == (1, 2) and r.unit_pivot_rows == {0}
+    assert r == SnfResult((1, 2))
